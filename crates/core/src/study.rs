@@ -6,7 +6,7 @@
 //! days) → heavy hitters → annotate → cluster across states.
 
 use crate::area::{cluster_spikes, OutageCluster};
-use crate::context::{annotate, heavy_hitters, AnnotatedSpike, ContextParams};
+use crate::context::{AnnotatedSpike, ContextParams, TermTable};
 use crate::detect::DetectParams;
 use crate::durable::{RegionJournal, StudyDurability};
 use crate::plan::{plan_frames, PlanParams};
@@ -20,6 +20,7 @@ use sift_trends::client::{FetchError, TrendsClient};
 use sift_trends::{RisingRequest, SearchTerm};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The four pipeline stages a study's critical path is bucketed into, in
 /// pipeline order, each with the span names whose self-time it absorbs:
@@ -136,7 +137,8 @@ pub struct StudyResult {
     pub clusters: Vec<OutageCluster>,
     /// The global heavy-hitter terms with their frequencies.
     pub heavy_hitters: Vec<(String, u64)>,
-    /// Distinct suggested terms observed across all spikes.
+    /// Distinct suggested terms observed across all spikes, counted in
+    /// normalised form (see [`crate::context::heavy_hitters`]).
     pub distinct_terms: usize,
     /// Request accounting.
     pub stats: StudyStats,
@@ -351,19 +353,19 @@ pub fn assemble_study(
 ) -> StudyResult {
     regions.sort_by_key(|r| r.state.index());
 
-    // ---- Global phase: heavy hitters over every spike's suggestion set,
-    // then annotation.
+    // ---- Global phase: intern every spike's suggested terms once, with
+    // the heavy hitters over them, then annotate regions in parallel.
     let context_span = sift_obs::span("context");
-    let suggestion_sets = regions.iter().flat_map(|r| {
-        r.spikes
+    let (terms, heavy, distinct_terms) = TermTable::of_study(
+        regions
             .iter()
-            .map(|(_, sugg)| sugg.iter().map(|t| t.term.clone()).collect::<Vec<_>>())
-    });
-    let (heavy, distinct_terms) = heavy_hitters(suggestion_sets, params.context.heavy_hitter_mass);
+            .flat_map(|r| r.spikes.iter().map(|(_, sugg)| sugg.as_slice())),
+        params.context.heavy_hitter_mass,
+    );
+    let mut spikes = annotate_regions(&terms, &regions, params, context_span.context());
 
-    // ---- Annotate and assemble.
+    // ---- Assemble.
     let mut stats = StudyStats::default();
-    let mut spikes: Vec<AnnotatedSpike> = Vec::new();
     let mut timelines = Vec::with_capacity(regions.len());
     for r in &regions {
         stats.frames_requested += r.frames_requested;
@@ -383,14 +385,6 @@ pub fn assemble_study(
         if r.halted {
             stats.halted_regions += 1;
         }
-        let _annotate_span = sift_obs::span("annotate");
-        for (spike, suggestions) in &r.spikes {
-            spikes.push(annotate(*spike, suggestions, &heavy, &params.context));
-        }
-        sift_obs::attr_add(
-            "spikes_annotated",
-            u64::try_from(r.spikes.len()).unwrap_or(u64::MAX),
-        );
     }
     for r in regions {
         timelines.push((r.state, r.timeline));
@@ -439,6 +433,52 @@ pub fn assemble_study(
         distinct_terms,
         stats,
     }
+}
+
+/// Annotates every region's spikes against the study's term table,
+/// fanning regions out over `params.threads` workers. Each region gets
+/// its own `annotate` span under `context`; the spikes come back in
+/// region order, spike order within a region, whatever the thread count.
+fn annotate_regions(
+    terms: &TermTable<'_>,
+    regions: &[RegionOutcome],
+    params: &StudyParams,
+    context: sift_obs::SpanContext,
+) -> Vec<AnnotatedSpike> {
+    let threads = params.threads.clamp(1, regions.len().max(1));
+    let next = AtomicUsize::new(0);
+    let mut annotated: Vec<(usize, Vec<AnnotatedSpike>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(r) = regions.get(i) else { break };
+                        let _annotate_span = sift_obs::span_in(context, "annotate");
+                        let spikes: Vec<AnnotatedSpike> = r
+                            .spikes
+                            .iter()
+                            .map(|(spike, sugg)| terms.annotate(*spike, sugg, &params.context))
+                            .collect();
+                        sift_obs::attr_add(
+                            "spikes_annotated",
+                            u64::try_from(spikes.len()).unwrap_or(u64::MAX),
+                        );
+                        done.push((i, spikes));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            // sift-lint: allow(no-panic) — re-raising a worker panic on join is the only sane option
+            .flat_map(|h| h.join().expect("annotate worker panicked"))
+            .collect()
+    });
+    annotated.sort_by_key(|(i, _)| *i);
+    annotated.into_iter().flat_map(|(_, s)| s).collect()
 }
 
 /// The per-region pipeline: averaging, detection, rising gathering.
@@ -856,17 +896,77 @@ mod tests {
     }
 
     #[test]
+    fn annotate_spans_hang_off_context_and_count_every_spike() {
+        let service = two_region_service();
+        let mut params = small_params();
+        params.threads = 5;
+        let (tid, spikes) = {
+            let root = sift_obs::span_root("annotate-trace-test");
+            let result = run_study(&service, &params).expect("study runs");
+            (root.context().trace_id, result.spikes.len())
+        };
+        let trace = sift_obs::trace::wait_completed(tid, std::time::Duration::from_secs(10))
+            .expect("trace completed");
+        assert!(trace.orphans().is_empty(), "no severed parentage");
+        let context = trace
+            .spans
+            .iter()
+            .find(|s| s.name == "context")
+            .expect("context span");
+        let annotate: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "annotate")
+            .collect();
+        assert_eq!(annotate.len(), params.regions.len(), "one span per region");
+        assert!(annotate
+            .iter()
+            .all(|s| s.parent_id == Some(context.span_id)));
+        let counted: u64 = annotate
+            .iter()
+            .filter_map(|s| s.arg("spikes_annotated"))
+            .sum();
+        assert_eq!(counted, spikes as u64);
+    }
+
+    /// Asserts two studies concluded the same: annotated spikes (weights
+    /// to the bit), heavy hitters, distinct terms, clusters, timelines
+    /// and request accounting. Telemetry, which times the host, is not
+    /// compared.
+    fn assert_same_result(got: &StudyResult, want: &StudyResult) {
+        assert_eq!(got.spikes.len(), want.spikes.len());
+        for (a, b) in got.spikes.iter().zip(want.spikes.iter()) {
+            assert_eq!(a.spike, b.spike);
+            assert_eq!(a.annotations, b.annotations);
+            let bits = |s: &AnnotatedSpike| -> Vec<u64> {
+                s.annotations.iter().map(|a| a.weight.to_bits()).collect()
+            };
+            assert_eq!(bits(a), bits(b));
+        }
+        assert_eq!(got.heavy_hitters, want.heavy_hitters);
+        assert_eq!(got.distinct_terms, want.distinct_terms);
+        let json = |c: &[OutageCluster]| serde_json::to_string(c).expect("clusters serialize");
+        assert_eq!(json(&got.clusters), json(&want.clusters));
+        assert_eq!(got.timelines, want.timelines);
+        assert_eq!(got.stats.frames_requested, want.stats.frames_requested);
+        assert_eq!(got.stats.rising_requested, want.stats.rising_requested);
+        assert_eq!(got.stats.rounds_by_state, want.stats.rounds_by_state);
+        assert_eq!(got.stats.converged_regions, want.stats.converged_regions);
+    }
+
+    #[test]
     fn single_thread_matches_parallel() {
         let service = two_region_service();
         let mut params = small_params();
         params.threads = 1;
         let seq = run_study(&service, &params).expect("study runs");
-        params.threads = 2;
-        let par = run_study(&service, &params).expect("study runs");
-        assert_eq!(seq.spikes.len(), par.spikes.len());
-        for (a, b) in seq.spikes.iter().zip(par.spikes.iter()) {
-            assert_eq!(a.spike, b.spike);
-            assert_eq!(a.annotations, b.annotations);
+        assert!(!seq.heavy_hitters.is_empty() && !seq.clusters.is_empty());
+        // Two threads: one per region in both phases. Five: more threads
+        // than regions, which both phases must clamp.
+        for threads in [2, 5] {
+            params.threads = threads;
+            let par = run_study(&service, &params).expect("study runs");
+            assert_same_result(&par, &seq);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Greedy agglomerative clustering of search phrases.
 
-use crate::vector::{cosine, Embedding};
+use crate::vector::PhraseVector;
 
 /// A cluster of semantically similar phrases.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -22,18 +22,31 @@ pub struct Cluster {
 ///
 /// Output clusters are ordered by their total member weight, descending,
 /// which is the order the annotation ranking consumes them in.
+///
+/// Embeds every phrase, then runs [`cluster_vectors`].
 pub fn cluster_phrases(phrases: &[(String, f64)], threshold: f32) -> Vec<Cluster> {
+    let vectors: Vec<PhraseVector> = phrases
+        .iter()
+        .map(|(p, _)| PhraseVector::of_phrase(p))
+        .collect();
+    let weighted: Vec<(&PhraseVector, f64)> = vectors
+        .iter()
+        .zip(phrases)
+        .map(|(v, (_, w))| (v, *w))
+        .collect();
+    cluster_vectors(&weighted, threshold)
+}
+
+/// [`cluster_phrases`] over phrases embedded beforehand: callers that
+/// meet the same phrase many times embed it once and pass it by
+/// reference.
+pub fn cluster_vectors(phrases: &[(&PhraseVector, f64)], threshold: f32) -> Vec<Cluster> {
     struct Working {
         members: Vec<usize>,
-        centroid: Embedding,
+        centroid: PhraseVector,
         mass: f32,
         total_weight: f64,
     }
-
-    let embeddings: Vec<Embedding> = phrases
-        .iter()
-        .map(|(p, _)| Embedding::of_phrase(p))
-        .collect();
 
     // Descending weight, stable on index, so heavier phrases seed clusters.
     let mut order: Vec<usize> = (0..phrases.len()).collect();
@@ -47,29 +60,28 @@ pub fn cluster_phrases(phrases: &[(String, f64)], threshold: f32) -> Vec<Cluster
 
     let mut clusters: Vec<Working> = Vec::new();
     for idx in order {
-        let emb = &embeddings[idx];
-        let joined = if emb.is_zero() {
+        let (vector, weight) = phrases[idx];
+        let joined = if vector.is_zero() {
             None
         } else {
             clusters
                 .iter_mut()
-                .find(|c| c.mass > 0.0 && cosine(&c.centroid, emb) >= threshold)
+                .find(|c| c.mass > 0.0 && vector.cosine_with(&c.centroid) >= threshold)
         };
         match joined {
             Some(c) => {
                 c.members.push(idx);
-                c.total_weight += phrases[idx].1;
-                c.centroid.accumulate(emb, 1.0);
-                c.centroid.normalize();
+                c.total_weight += weight;
+                c.centroid.absorb(vector);
                 c.mass += 1.0;
             }
             None => {
-                let mass = if emb.is_zero() { 0.0 } else { 1.0 };
+                let mass = if vector.is_zero() { 0.0 } else { 1.0 };
                 clusters.push(Working {
                     members: vec![idx],
-                    centroid: emb.clone(),
+                    centroid: vector.clone(),
                     mass,
-                    total_weight: phrases[idx].1,
+                    total_weight: weight,
                 });
             }
         }
@@ -95,7 +107,7 @@ pub fn cluster_phrases(phrases: &[(String, f64)], threshold: f32) -> Vec<Cluster
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then(b.cmp(&a))
                 })
-                // sift-lint: allow(no-panic) — union-find groups always hold at least one member
+                // sift-lint: allow(no-panic) — every cluster is founded with one member and only grows
                 .expect("clusters are never empty");
             c.members.sort_unstable();
             Cluster {

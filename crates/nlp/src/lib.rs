@@ -14,7 +14,9 @@
 //! * [`Embedding`] — fixed-dimension phrase vectors built from hashed word
 //!   and character-n-gram features (n-grams give robustness to
 //!   misspellings, which Google's search *topics* also absorb),
-//! * [`cosine`] similarity and greedy agglomerative [`cluster`]ing.
+//! * [`cosine`] similarity and greedy agglomerative [`cluster`]ing, also
+//!   over [`PhraseVector`]s embedded once up front (cached norm and
+//!   nonzero support), for callers that meet the same phrase many times.
 //!
 //! The interface is what a pre-trained-vector backend would expose, so the
 //! substitution is contained here.
@@ -27,9 +29,9 @@ pub mod lexicon;
 pub mod token;
 pub mod vector;
 
-pub use cluster::{cluster_phrases, Cluster};
+pub use cluster::{cluster_phrases, cluster_vectors, Cluster};
 pub use token::{normalize, tokenize};
-pub use vector::{cosine, Embedding, EMBEDDING_DIM};
+pub use vector::{cosine, Embedding, PhraseVector, EMBEDDING_DIM};
 
 /// Default cosine-similarity threshold above which two phrases are
 /// considered the same search intent. Chosen so `is verizon down` ≈

@@ -65,6 +65,16 @@ baseline=$(ls BENCH_*.json | sort | tail -1)
 ./target/release/bench_gate target/bench-smoke.json "$baseline" \
   || { echo "bench gate failed against ${baseline}" >&2; exit 1; }
 
+# Context-phase bit-identity gate: one traced pass of the `batch`
+# benchmark workload checks seed 0's pinned result digest, that a serial
+# layer-by-layer study equals the parallel one, and that replaying heavy
+# hitters, per-spike `annotate` and area clustering equals
+# `assemble_study`. siftbench exits non-zero when any of these differ, so
+# every change to the study's global phase is held to bit-identity.
+cargo run --quiet --release --offline --locked --manifest-path siftbench/Cargo.toml -- \
+  --workload batch --seed 0 --seconds 1 --trace 1 > target/siftbench-batch.json \
+  || { echo "siftbench batch oracles failed (see target/siftbench-batch.json)" >&2; exit 1; }
+
 # Resume determinism gate: two same-seed runs of the crash-and-resume
 # example must print byte-identical reports (the injected crash lands at
 # the same fetch, recovery replays the same journal, the resumed result
