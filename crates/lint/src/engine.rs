@@ -8,7 +8,6 @@
 //! Findings are sorted by position at the end, so parallel and serial
 //! runs produce byte-identical reports.
 
-use crate::cache::{self, fnv1a, Cache, CachedFile};
 use crate::config::{Config, Severity};
 use crate::context::FileCtx;
 use crate::rules::{registry, RawFinding, Rule, RuleKind};
@@ -47,8 +46,6 @@ pub struct TimingReport {
     /// Path → context build + per-file rule time.
     pub per_file: Vec<(String, Duration)>,
     pub total: Duration,
-    /// Files served from the incremental cache (cached runs only).
-    pub files_reused: usize,
 }
 
 /// Findings plus optional accounting.
@@ -56,8 +53,6 @@ pub struct TimingReport {
 pub struct LintReport {
     pub findings: Vec<Finding>,
     pub timing: Option<TimingReport>,
-    /// A cache that could not be written back (the lint itself is fine).
-    pub cache_write_error: Option<String>,
 }
 
 /// Lints in-memory sources (used by fixture tests and by
@@ -77,17 +72,7 @@ pub fn lint_sources_opts(
     let (contexts, mut file_time) = build_contexts(sources, cfg, threads);
 
     let mut rule_time: BTreeMap<&'static str, Duration> = BTreeMap::new();
-    let want: Vec<bool> = vec![true; contexts.len()];
-    let per_file = per_file_pass(
-        &contexts,
-        cfg,
-        threads,
-        &want,
-        &mut rule_time,
-        &mut file_time,
-    );
-
-    let mut findings: Vec<Finding> = per_file.into_iter().flatten().collect();
+    let mut findings = per_file_pass(&contexts, cfg, threads, &mut rule_time, &mut file_time);
     findings.extend(workspace_pass(&contexts, cfg, &mut rule_time));
     sort_findings(&mut findings);
 
@@ -95,8 +80,7 @@ pub fn lint_sources_opts(
         findings,
         timing: opts
             .timing
-            .then(|| timing_report(rule_time, file_time, started.elapsed(), 0)),
-        cache_write_error: None,
+            .then(|| timing_report(rule_time, file_time, started.elapsed())),
     }
 }
 
@@ -117,7 +101,6 @@ fn timing_report(
     rule_time: BTreeMap<&'static str, Duration>,
     file_time: Vec<(String, Duration)>,
     total: Duration,
-    files_reused: usize,
 ) -> TimingReport {
     // Report rules in registry order so the output is stable.
     let per_rule = registry()
@@ -128,7 +111,6 @@ fn timing_report(
         per_rule,
         per_file: file_time,
         total,
-        files_reused,
     }
 }
 
@@ -175,17 +157,15 @@ fn build_contexts(
     (contexts, times)
 }
 
-/// Runs every per-file rule over the contexts selected by `want`, in
-/// parallel. Returns findings grouped by context index (empty groups for
-/// unselected files); accumulates per-rule and per-file wall time.
+/// Runs every per-file rule over the contexts in parallel; accumulates
+/// per-rule and per-file wall time.
 fn per_file_pass(
     contexts: &[FileCtx],
     cfg: &Config,
     threads: usize,
-    want: &[bool],
     rule_time: &mut BTreeMap<&'static str, Duration>,
     file_time: &mut [(String, Duration)],
-) -> Vec<Vec<Finding>> {
+) -> Vec<Finding> {
     struct Part {
         idx: usize,
         findings: Vec<Finding>,
@@ -205,9 +185,6 @@ fn per_file_pass(
                         let Some(ctx) = contexts.get(idx) else {
                             break local;
                         };
-                        if !want[idx] {
-                            continue;
-                        }
                         let file_started = Instant::now();
                         let mut findings = Vec::new();
                         let mut times = Vec::new();
@@ -242,8 +219,7 @@ fn per_file_pass(
             }
         }
     });
-    let mut grouped: Vec<Vec<Finding>> = Vec::new();
-    grouped.resize_with(contexts.len(), Vec::new);
+    let mut findings = Vec::new();
     for part in parts {
         for (id, d) in part.rule_time {
             *rule_time.entry(id).or_default() += d;
@@ -251,9 +227,9 @@ fn per_file_pass(
         if let Some(slot) = file_time.get_mut(part.idx) {
             slot.1 += part.took;
         }
-        grouped[part.idx] = part.findings;
+        findings.extend(part.findings);
     }
-    grouped
+    findings
 }
 
 /// Runs the workspace rules (serial: they need every context at once).
@@ -330,132 +306,6 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Vec<Finding>> {
 /// [`lint_workspace`] with engine options (threads, timing).
 pub fn lint_workspace_opts(root: &Path, cfg: &Config, opts: LintOptions) -> io::Result<LintReport> {
     Ok(lint_sources_opts(&read_workspace(root, cfg)?, cfg, opts))
-}
-
-/// [`lint_workspace`] through the incremental cache at `cache_path`.
-///
-/// Unchanged files (by content hash, under an unchanged policy
-/// fingerprint) reuse their per-file findings without re-running rules;
-/// a fully unchanged workspace reuses the workspace-rule findings too and
-/// skips parsing entirely. The refreshed cache is written back
-/// best-effort — a write failure is reported on the side, never as a
-/// lint failure.
-pub fn lint_workspace_cached(
-    root: &Path,
-    cfg: &Config,
-    fingerprint: u64,
-    cache_path: &Path,
-    opts: LintOptions,
-) -> io::Result<LintReport> {
-    let started = Instant::now();
-    let sources = read_workspace(root, cfg)?;
-    let hashes: Vec<u64> = sources.iter().map(|(_, t)| fnv1a(t.as_bytes())).collect();
-    let workspace_hash = {
-        use std::fmt::Write as _;
-        let mut listing = String::new();
-        for ((path, _), h) in sources.iter().zip(&hashes) {
-            listing.push_str(path);
-            let _ = write!(listing, "\u{0}{h:016x}\u{0}");
-        }
-        fnv1a(listing.as_bytes())
-    };
-
-    let cached: Cache = fs::read_to_string(cache_path)
-        .ok()
-        .and_then(|t| cache::load(&t))
-        .filter(|c| c.fingerprint == fingerprint)
-        .unwrap_or_default();
-
-    // Fast path: nothing changed at all — the workspace hash covers the
-    // exact file set and every content hash.
-    if cached.workspace_hash == workspace_hash && !cached.files.is_empty() {
-        let mut findings: Vec<Finding> = cached
-            .files
-            .values()
-            .flat_map(|f| f.findings.iter().cloned())
-            .collect();
-        findings.extend(cached.workspace.iter().cloned());
-        sort_findings(&mut findings);
-        return Ok(LintReport {
-            findings,
-            timing: opts.timing.then(|| {
-                timing_report(
-                    BTreeMap::new(),
-                    Vec::new(),
-                    started.elapsed(),
-                    sources.len(),
-                )
-            }),
-            cache_write_error: None,
-        });
-    }
-
-    let threads = worker_count(opts.threads, sources.len());
-    let (contexts, mut file_time) = build_contexts(&sources, cfg, threads);
-
-    // A file is reusable when its content hash matches the cached entry.
-    let want: Vec<bool> = sources
-        .iter()
-        .zip(&hashes)
-        .map(|((path, _), h)| cached.files.get(path).map_or(true, |f| f.hash != *h))
-        .collect();
-    let reused = want.iter().filter(|w| !**w).count();
-
-    let mut rule_time: BTreeMap<&'static str, Duration> = BTreeMap::new();
-    let mut per_file = per_file_pass(
-        &contexts,
-        cfg,
-        threads,
-        &want,
-        &mut rule_time,
-        &mut file_time,
-    );
-    for (idx, (path, _)) in sources.iter().enumerate() {
-        if !want[idx] {
-            if let Some(entry) = cached.files.get(path) {
-                per_file[idx] = entry.findings.clone();
-            }
-        }
-    }
-    let workspace = workspace_pass(&contexts, cfg, &mut rule_time);
-
-    let mut next = Cache {
-        fingerprint,
-        files: BTreeMap::new(),
-        workspace_hash,
-        workspace: workspace.clone(),
-    };
-    let mut findings: Vec<Finding> = Vec::new();
-    for ((idx, (path, _)), hash) in sources.iter().enumerate().zip(&hashes) {
-        next.files.insert(
-            path.clone(),
-            CachedFile {
-                hash: *hash,
-                findings: per_file[idx].clone(),
-            },
-        );
-        findings.append(&mut per_file[idx]);
-    }
-    findings.extend(workspace);
-    sort_findings(&mut findings);
-
-    let cache_write_error = write_cache(cache_path, &cache::save(&next))
-        .err()
-        .map(|e| format!("{}: {e}", cache_path.display()));
-    Ok(LintReport {
-        findings,
-        timing: opts
-            .timing
-            .then(|| timing_report(rule_time, file_time, started.elapsed(), reused)),
-        cache_write_error,
-    })
-}
-
-fn write_cache(path: &Path, text: &str) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    fs::write(path, text)
 }
 
 /// One inline allow directive that no longer earns its keep.
@@ -740,59 +590,5 @@ mod tests {
         let src = "fn f() {\n  a.unwrap(); // sift-lint: allow(no-panic) — documented\n}\n";
         let stale = audit_allows(&[("crates/x/src/lib.rs".to_owned(), src.to_owned())], &cfg);
         assert!(stale.is_empty(), "{stale:?}");
-    }
-
-    #[test]
-    fn cached_run_is_identical_and_reuses_files() {
-        let dir = std::env::temp_dir().join(format!("sift-lint-cache-test-{}", std::process::id()));
-        let src_dir = dir.join("crates/x/src");
-        std::fs::create_dir_all(&src_dir).expect("mkdir");
-        std::fs::write(src_dir.join("lib.rs"), "fn f() { a.unwrap(); }\n").expect("write");
-        std::fs::write(
-            src_dir.join("other.rs"),
-            "fn g(x: f64) { if x == 1.0 {} }\n",
-        )
-        .expect("write");
-        let cfg = Config::default();
-        let cache_path = dir.join("target/sift-lint-cache.json");
-        let opts = LintOptions {
-            threads: 2,
-            timing: true,
-        };
-
-        let cold = lint_workspace_cached(&dir, &cfg, 7, &cache_path, opts).expect("cold");
-        assert!(cache_path.is_file(), "cache written");
-        assert_eq!(cold.timing.as_ref().expect("timing").files_reused, 0);
-
-        let warm = lint_workspace_cached(&dir, &cfg, 7, &cache_path, opts).expect("warm");
-        assert_eq!(
-            crate::report::render_json(&cold.findings),
-            crate::report::render_json(&warm.findings),
-        );
-        assert_eq!(warm.timing.as_ref().expect("timing").files_reused, 2);
-
-        // Editing one file invalidates that file (and the workspace pass)
-        // but keeps the untouched file's entry.
-        std::fs::write(
-            src_dir.join("lib.rs"),
-            "fn f() { a.unwrap(); b.unwrap(); }\n",
-        )
-        .expect("write");
-        let edited = lint_workspace_cached(&dir, &cfg, 7, &cache_path, opts).expect("edited");
-        assert_eq!(
-            edited
-                .findings
-                .iter()
-                .filter(|f| f.rule == "no-panic")
-                .count(),
-            2
-        );
-        assert_eq!(edited.timing.as_ref().expect("timing").files_reused, 1);
-
-        // A fingerprint change (policy edit) discards everything.
-        let refreshed = lint_workspace_cached(&dir, &cfg, 8, &cache_path, opts).expect("refresh");
-        assert_eq!(refreshed.timing.as_ref().expect("timing").files_reused, 0);
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -24,12 +24,10 @@
 //! `--json` for the machine format, `--rules-md` for the generated rule
 //! reference. The process exits nonzero when any `deny` finding stands.
 
-pub mod cache;
 pub mod config;
 pub mod context;
 pub mod dataflow;
 pub mod engine;
-pub mod json;
 pub mod lexer;
 pub mod report;
 pub mod rules;
@@ -38,8 +36,8 @@ pub mod tree;
 
 pub use config::{Config, ConfigError, Severity};
 pub use engine::{
-    audit_workspace, lint_sources, lint_sources_opts, lint_workspace, lint_workspace_cached,
-    lint_workspace_opts, Finding, LintOptions, LintReport, StaleAllow, StaleReason, TimingReport,
+    audit_workspace, lint_sources, lint_sources_opts, lint_workspace, lint_workspace_opts, Finding,
+    LintOptions, LintReport, StaleAllow, StaleReason, TimingReport,
 };
 pub use report::{render_json, render_text, rules_markdown};
 

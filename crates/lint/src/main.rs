@@ -1,10 +1,8 @@
 //! The `sift-lint` command-line gate.
 
 use sift_lint::{
-    cache, find_root, json::Json, load_config, validate_rule_ids, LintOptions, Severity,
-    StaleReason,
+    find_root, load_config, validate_rule_ids, Config, LintOptions, Severity, StaleReason,
 };
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -12,22 +10,17 @@ const USAGE: &str = "\
 sift-lint — workspace-native static analysis for SIFT
 
 USAGE:
-    sift-lint [--json] [--root <dir>] [--config <file>] [--cache]
-              [--threads <n>] [--timing] [--baseline <file>]
-    sift-lint --write-baseline <file>
-    sift-lint --audit-allows
+    sift-lint [--json] [--root <dir>] [--config <file>] [--threads <n>] [--timing]
+    sift-lint --audit-allows [--root <dir>] [--config <file>]
     sift-lint --rules-md
 
 OPTIONS:
     --json             machine-readable output (one JSON object)
     --root <dir>       workspace root (default: nearest ancestor with Lint.toml)
-    --config <f>       config file (default: <root>/Lint.toml)
-    --cache            reuse results for unchanged files via
-                       <root>/target/sift-lint-cache.json
+    --config <f>       config file (default: <root>/Lint.toml; built-in
+                       defaults when that is absent)
     --threads <n>      worker threads for the parallel stages (default: cores)
     --timing           per-rule and per-file wall time on stderr
-    --baseline <f>     ignore findings recorded in a baseline file
-    --write-baseline <f>  record current findings as the baseline and exit 0
     --audit-allows     report stale inline `sift-lint: allow(...)` directives
     --rules-md         print the generated rule-reference table and exit
     --help             this text
@@ -43,32 +36,20 @@ fn main() -> ExitCode {
     let mut root_arg: Option<PathBuf> = None;
     let mut config_arg: Option<PathBuf> = None;
     let mut rules_md = false;
-    let mut use_cache = false;
     let mut timing = false;
     let mut audit = false;
     let mut threads = 0usize;
-    let mut baseline_arg: Option<PathBuf> = None;
-    let mut write_baseline_arg: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
             "--rules-md" => rules_md = true,
-            "--cache" => use_cache = true,
             "--timing" => timing = true,
             "--audit-allows" => audit = true,
             "--threads" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) => threads = v,
                 None => return usage_error("--threads needs a number"),
-            },
-            "--baseline" => match args.next() {
-                Some(v) => baseline_arg = Some(PathBuf::from(v)),
-                None => return usage_error("--baseline needs a value"),
-            },
-            "--write-baseline" => match args.next() {
-                Some(v) => write_baseline_arg = Some(PathBuf::from(v)),
-                None => return usage_error("--write-baseline needs a value"),
             },
             "--root" => match args.next() {
                 Some(v) => root_arg = Some(PathBuf::from(v)),
@@ -94,18 +75,15 @@ fn main() -> ExitCode {
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     let root = root_arg.or_else(|| find_root(&cwd)).unwrap_or(cwd);
 
-    let config_path = config_arg.unwrap_or_else(|| root.join(sift_lint::CONFIG_FILE));
-    let config_text = std::fs::read_to_string(&config_path).unwrap_or_default();
-    let cfg = if config_text.is_empty() {
-        match load_config(&root) {
-            Ok(cfg) => cfg,
-            Err(e) => return config_error(&e.to_string()),
-        }
-    } else {
-        match sift_lint::Config::parse(&config_text) {
-            Ok(cfg) => cfg,
-            Err(e) => return config_error(&e.to_string()),
-        }
+    let cfg = match &config_arg {
+        Some(path) => std::fs::read_to_string(path)
+            .map_err(|e| format!("{}: {e}", path.display()))
+            .and_then(|text| Config::parse(&text).map_err(|e| e.to_string())),
+        None => load_config(&root).map_err(|e| e.to_string()),
+    };
+    let cfg = match cfg {
+        Ok(cfg) => cfg,
+        Err(e) => return config_error(&e),
     };
     if let Err(e) = validate_rule_ids(&cfg) {
         return config_error(&e);
@@ -116,51 +94,12 @@ fn main() -> ExitCode {
     }
 
     let opts = LintOptions { threads, timing };
-    let report = if use_cache {
-        let cache_path = root.join("target/sift-lint-cache.json");
-        let fingerprint = cache::policy_fingerprint(&config_text);
-        sift_lint::lint_workspace_cached(&root, &cfg, fingerprint, &cache_path, opts)
-    } else {
-        sift_lint::lint_workspace_opts(&root, &cfg, opts)
-    };
-    let report = match report {
+    let report = match sift_lint::lint_workspace_opts(&root, &cfg, opts) {
         Ok(r) => r,
         Err(e) => return config_error(&format!("walking {}: {e}", root.display())),
     };
-    if let Some(e) = &report.cache_write_error {
-        eprintln!("sift-lint: warning: could not write cache: {e}");
-    }
 
-    let mut findings = report.findings;
-    if let Some(path) = &baseline_arg {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => return config_error(&format!("{}: {e}", path.display())),
-        };
-        let Some(known) = baseline_keys(&text) else {
-            return config_error(&format!("{}: not a findings baseline", path.display()));
-        };
-        let before = findings.len();
-        findings.retain(|f| !known.contains(&(f.path.clone(), f.rule.to_owned(), f.line)));
-        eprintln!(
-            "sift-lint: baseline suppressed {} finding(s), {} remain",
-            before - findings.len(),
-            findings.len()
-        );
-    }
-
-    if let Some(path) = &write_baseline_arg {
-        if let Err(e) = std::fs::write(path, sift_lint::render_json(&findings)) {
-            return config_error(&format!("{}: {e}", path.display()));
-        }
-        eprintln!(
-            "sift-lint: wrote baseline with {} finding(s) to {}",
-            findings.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
+    let findings = report.findings;
     if json {
         print!("{}", sift_lint::render_json(&findings));
     } else {
@@ -177,21 +116,7 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses a `render_json` document into `(path, rule, line)` keys.
-fn baseline_keys(text: &str) -> Option<BTreeSet<(String, String, u32)>> {
-    let doc = Json::parse(text)?;
-    let mut keys = BTreeSet::new();
-    for f in doc.get("findings")?.as_arr()? {
-        keys.insert((
-            f.get("path")?.as_str()?.to_owned(),
-            f.get("rule")?.as_str()?.to_owned(),
-            f.get("line")?.as_u32()?,
-        ));
-    }
-    Some(keys)
-}
-
-fn run_audit(root: &std::path::Path, cfg: &sift_lint::Config) -> ExitCode {
+fn run_audit(root: &std::path::Path, cfg: &Config) -> ExitCode {
     let stale = match sift_lint::audit_workspace(root, cfg) {
         Ok(s) => s,
         Err(e) => return config_error(&format!("walking {}: {e}", root.display())),
@@ -221,9 +146,6 @@ fn run_audit(root: &std::path::Path, cfg: &sift_lint::Config) -> ExitCode {
 
 fn print_timing(t: &sift_lint::TimingReport) {
     eprintln!("sift-lint timing: total {:?}", t.total);
-    if t.files_reused > 0 {
-        eprintln!("  cache: {} file(s) reused", t.files_reused);
-    }
     for (id, d) in &t.per_rule {
         eprintln!("  rule {id:<22} {d:?}");
     }

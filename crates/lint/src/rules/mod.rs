@@ -7,20 +7,16 @@
 use crate::config::{Config, Severity};
 use crate::context::FileCtx;
 
-pub mod breaker_obs;
-pub mod cluster_obs;
 pub mod deadline_propagation;
 pub mod durable_write;
-pub mod fault_obs;
 pub mod float_eq;
 pub mod hot_alloc;
+pub mod label_obs;
 pub mod lock_order;
 pub mod lossy_cast;
-pub mod nemesis_obs;
 pub mod no_panic;
 pub mod no_print;
 pub mod route_obs;
-pub mod serve_obs;
 pub mod swallowed_result;
 pub mod trace_span;
 pub mod wall_clock;
@@ -234,7 +230,7 @@ pub fn registry() -> Vec<Rule> {
             default_severity: Severity::Deny,
             applies_in_tests: false,
             skips_bins: true,
-            kind: RuleKind::Workspace(fault_obs::check),
+            kind: RuleKind::Workspace(|files, cfg| label_obs::check("fault-obs", files, cfg)),
         },
         Rule {
             id: "breaker-obs",
@@ -248,7 +244,7 @@ pub fn registry() -> Vec<Rule> {
             default_severity: Severity::Deny,
             applies_in_tests: false,
             skips_bins: true,
-            kind: RuleKind::Workspace(breaker_obs::check),
+            kind: RuleKind::Workspace(|files, cfg| label_obs::check("breaker-obs", files, cfg)),
         },
         Rule {
             id: "cluster-obs",
@@ -262,7 +258,7 @@ pub fn registry() -> Vec<Rule> {
             default_severity: Severity::Deny,
             applies_in_tests: false,
             skips_bins: true,
-            kind: RuleKind::Workspace(cluster_obs::check),
+            kind: RuleKind::Workspace(|files, cfg| label_obs::check("cluster-obs", files, cfg)),
         },
         Rule {
             id: "nemesis-obs",
@@ -276,7 +272,7 @@ pub fn registry() -> Vec<Rule> {
             default_severity: Severity::Deny,
             applies_in_tests: false,
             skips_bins: true,
-            kind: RuleKind::Workspace(nemesis_obs::check),
+            kind: RuleKind::Workspace(|files, cfg| label_obs::check("nemesis-obs", files, cfg)),
         },
         Rule {
             id: "serve-obs",
@@ -291,7 +287,7 @@ pub fn registry() -> Vec<Rule> {
             default_severity: Severity::Deny,
             applies_in_tests: false,
             skips_bins: true,
-            kind: RuleKind::Workspace(serve_obs::check),
+            kind: RuleKind::Workspace(|files, cfg| label_obs::check("serve-obs", files, cfg)),
         },
     ]
 }

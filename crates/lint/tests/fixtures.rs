@@ -180,10 +180,40 @@ fn route_obs_fixture() {
 }
 
 #[test]
+fn fault_obs_fixture() {
+    check(
+        "fault_obs",
+        include_str!("fixtures/fault_obs.rs"),
+        &Config::default(),
+        false,
+    );
+}
+
+#[test]
 fn breaker_obs_fixture() {
     check(
         "breaker_obs",
         include_str!("fixtures/breaker_obs.rs"),
+        &Config::default(),
+        false,
+    );
+}
+
+#[test]
+fn cluster_obs_fixture() {
+    check(
+        "cluster_obs",
+        include_str!("fixtures/cluster_obs.rs"),
+        &Config::default(),
+        false,
+    );
+}
+
+#[test]
+fn nemesis_obs_fixture() {
+    check(
+        "nemesis_obs",
+        include_str!("fixtures/nemesis_obs.rs"),
         &Config::default(),
         false,
     );

@@ -9,17 +9,10 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline --workspace
 
-# Static-analysis gate, exercised the way CI hits it: a cold cached run
-# (populates target/sift-lint-cache.json), a warm run that must reuse it
-# and agree byte-for-byte, and the stale-suppression audit so inline
-# allows cannot outlive the findings they excuse.
-rm -f target/sift-lint-cache.json
-cargo run -p sift-lint --release --offline -- --json --cache --timing \
-  > target/lint-cold.json
-cargo run -p sift-lint --release --offline -- --json --cache --timing \
-  > target/lint-warm.json
-diff target/lint-cold.json target/lint-warm.json \
-  || { echo "cached lint run diverged from the cold run" >&2; exit 1; }
+# Static-analysis gate: the workspace must have no deny finding (the
+# per-rule/per-file profile goes to stderr), and the stale-suppression
+# audit keeps inline allows from outliving the findings they excuse.
+cargo run -p sift-lint --release --offline -- --json --timing > target/lint.json
 cargo run -p sift-lint --release --offline -- --audit-allows
 
 cargo clippy --workspace --all-targets --offline -- -D warnings
